@@ -5,7 +5,8 @@ machine running the suite: the NumPy execution strategies of the
 aprod1/aprod2 kernels on a real mid-sized system.  They quantify the
 same trade-off the GPU ports face -- unordered scatter ("atomic",
 ``np.add.at``) vs keyed reduction ("bincount") vs the collision-free
-astrometric fast path ("sorted").
+astrometric fast path ("sorted") -- next to the solver's default, one
+CSR product per direction.
 """
 
 import numpy as np
@@ -32,9 +33,21 @@ def vectors(host_system):
 
 def test_aprod1_vectorized(benchmark, host_system, vectors):
     x, _ = vectors
-    op = AprodOperator(host_system)
+    op = AprodOperator(host_system, gather_strategy="vectorized")
     out = benchmark(op.aprod1, x)
     assert out.shape == (host_system.n_rows,)
+
+
+def test_aprod1_csr(benchmark, host_system, vectors):
+    x, _ = vectors
+    out = benchmark(AprodOperator(host_system).aprod1, x)
+    assert out.shape == (host_system.n_rows,)
+
+
+def test_aprod2_csr(benchmark, host_system, vectors):
+    _, y = vectors
+    out = benchmark(AprodOperator(host_system).aprod2, y)
+    assert out.shape == (host_system.dims.n_params,)
 
 
 @pytest.mark.parametrize("scatter", ["atomic", "bincount"])
@@ -49,7 +62,8 @@ def test_aprod2_scatter_strategies(benchmark, host_system, vectors,
 
 def test_aprod2_astro_sorted_fast_path(benchmark, host_system, vectors):
     _, y = vectors
-    op = AprodOperator(host_system, astro_scatter_strategy="sorted")
+    op = AprodOperator(host_system, scatter_strategy="bincount",
+                       astro_scatter_strategy="sorted")
     out = benchmark(op.aprod2, y)
     assert out.shape == (host_system.dims.n_params,)
 

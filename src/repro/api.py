@@ -8,10 +8,10 @@ recovery -- is one call::
 
     report = solve(SolveRequest(system=system, ranks=4))
 
-The :class:`SolveRequest` names the *what* (system, rank count, kernel
-strategy preset, stopping parameters, optional
-:class:`ResilienceConfig`); :func:`solve` picks the driver and returns
-a uniform :class:`SolveReport`.  The CLI ``solve``/``chaos``
+The :class:`SolveRequest` names the *what* (system, rank count,
+stopping parameters, optional :class:`ResilienceConfig`);
+:func:`solve` picks the driver and returns a uniform
+:class:`SolveReport`.  The CLI ``solve``/``chaos``
 subcommands and the pipeline's
 :class:`~repro.pipeline.solver_module.SolverModule` are thin adapters
 over this module.
@@ -49,17 +49,6 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.system.sparse import GaiaSystem
-
-#: ``SolveRequest.strategy`` presets mapped to the kernel strategy
-#: pair ``(gather, scatter)`` of :class:`~repro.core.aprod.
-#: AprodOperator`.  ``fused`` is the packed-plan fast path (one fused
-#: gather kernel, deterministic sorted-segment scatter); ``classic``
-#: is the four-kernel production-style path.
-STRATEGY_PRESETS: dict[str, tuple[str, str]] = {
-    "auto": ("auto", "auto"),
-    "fused": ("fused", "sorted_segment"),
-    "classic": ("vectorized", "bincount"),
-}
 
 #: Fixed stream tags for deriving independent sub-seeds from the one
 #: request seed (never reuse a tag for a new stream).
@@ -208,10 +197,10 @@ class SolveRequest:
 
     ``ranks=1`` runs the serial solver; ``ranks>1`` the simulated-MPI
     distributed driver; a non-None ``resilience`` config always runs
-    the recovery driver (any rank count).  ``strategy`` selects a
-    kernel preset (see :data:`STRATEGY_PRESETS`).  ``damp`` and ``x0``
-    are serial-only (the distributed engine matches production, which
-    has neither).
+    the recovery driver (any rank count).  Every driver multiplies with
+    the same CSR operator (:class:`~repro.core.aprod.AprodOperator`).
+    ``damp`` and ``x0`` are serial-only (the distributed engine
+    matches production, which has neither).
 
     ``job_id``, ``framework`` and ``constraints`` are serving-layer
     hints consumed by :mod:`repro.serve`: the id is threaded through to
@@ -245,7 +234,6 @@ class SolveRequest:
     damp: float = 0.0
     precondition: bool = True
     calc_var: bool = True
-    strategy: str = "auto"
     seed: int = 0
     x0: np.ndarray | None = None
     resilience: ResilienceConfig | None = None
@@ -262,11 +250,6 @@ class SolveRequest:
     def __post_init__(self) -> None:
         if self.ranks < 1:
             raise ValueError(f"ranks must be >= 1, got {self.ranks}")
-        if self.strategy not in STRATEGY_PRESETS:
-            raise ValueError(
-                f"unknown strategy {self.strategy!r}; expected one of "
-                f"{tuple(STRATEGY_PRESETS)}"
-            )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.atol < 0:
@@ -341,11 +324,6 @@ class SolveRequest:
             raise ValueError("x0 warm starts are serial-only")
 
     @property
-    def strategies(self) -> tuple[str, str]:
-        """The preset's ``(gather, scatter)`` kernel strategy pair."""
-        return STRATEGY_PRESETS[self.strategy]
-
-    @property
     def placement_constraints(self) -> PlacementConstraints:
         """The normalized constraints (defaults when none were given)."""
         return (self.constraints if self.constraints is not None
@@ -390,7 +368,6 @@ class RequestSpec:
     damp: float = 0.0
     precondition: bool = True
     calc_var: bool = True
-    strategy: str = "auto"
     seed: int = 0
     x0: np.ndarray | None = None
     resilience: ResilienceConfig | None = None
@@ -413,8 +390,7 @@ class RequestSpec:
             ranks=request.ranks, atol=request.atol, btol=request.btol,
             conlim=request.conlim, iter_lim=request.iter_lim,
             damp=request.damp, precondition=request.precondition,
-            calc_var=request.calc_var, strategy=request.strategy,
-            seed=request.seed, x0=request.x0,
+            calc_var=request.calc_var, seed=request.seed, x0=request.x0,
             resilience=request.resilience,
             checkpoint_every=request.checkpoint_every,
             checkpoint_path=(str(request.checkpoint_path)
@@ -433,8 +409,8 @@ class RequestSpec:
             system=system, ranks=self.ranks, atol=self.atol,
             btol=self.btol, conlim=self.conlim, iter_lim=self.iter_lim,
             damp=self.damp, precondition=self.precondition,
-            calc_var=self.calc_var, strategy=self.strategy,
-            seed=self.seed, x0=self.x0, resilience=self.resilience,
+            calc_var=self.calc_var, seed=self.seed, x0=self.x0,
+            resilience=self.resilience,
             checkpoint_every=self.checkpoint_every,
             checkpoint_path=self.checkpoint_path,
             telemetry=telemetry, job_id=self.job_id,
@@ -627,12 +603,11 @@ def solve(request: SolveRequest, *,
     """
     if sessions is not None:
         return _solve_with_sessions(request, sessions)
-    gather, scatter = request.strategies
     if request.resilience is not None:
-        return _solve_resilient(request, gather, scatter)
+        return _solve_resilient(request)
     if request.ranks > 1:
-        return _solve_distributed(request, gather, scatter)
-    return _solve_serial(request, gather, scatter)
+        return _solve_distributed(request)
+    return _solve_serial(request)
 
 
 def _solve_with_sessions(request: SolveRequest,
@@ -688,7 +663,7 @@ def batch_incompatibility(requests: "list[SolveRequest] | tuple[SolveRequest, ..
         if r.checkpoint_every is not None or r.checkpoint_path is not None:
             return f"requests[{i}] checkpoints mid-solve"
         for f in ("atol", "btol", "conlim", "iter_lim", "precondition",
-                  "calc_var", "strategy"):
+                  "calc_var"):
             if getattr(r, f) != getattr(first, f):
                 return (f"requests[{i}].{f}={getattr(r, f)!r} differs "
                         f"from requests[0].{f}={getattr(first, f)!r}")
@@ -707,16 +682,14 @@ def solve_batch(requests: "list[SolveRequest] | tuple[SolveRequest, ...]"
     :func:`batch_incompatibility`; they may differ in rhs, ``damp``,
     ``seed``, ``x0`` and ``job_id``.  One
     :class:`~repro.core.engine.BatchedLSQRStepEngine` then advances
-    all members per iteration, and each member's report matches the
-    report ``solve`` would have produced for it alone (bitwise on the
-    classic kernel path, rtol 1e-12 on the fused plan path), in
-    request order.
+    all members per iteration, and each member's report is bitwise the
+    report ``solve`` would have produced for it alone, in request
+    order.
     """
     reason = batch_incompatibility(requests)
     if reason is not None:
         raise ValueError(f"requests cannot solve as one batch: {reason}")
     first = requests[0]
-    gather, scatter = first.strategies
     btol = first.btol if first.btol is not None else first.atol
     B = np.stack([r.system.rhs().astype(np.float64) for r in requests])
     results = lsqr_solve_batch(
@@ -727,7 +700,6 @@ def solve_batch(requests: "list[SolveRequest] | tuple[SolveRequest, ...]"
         precondition=first.precondition,
         calc_var=first.calc_var,
         x0s=[r.x0 for r in requests],
-        gather_strategy=gather, scatter_strategy=scatter,
         telemetry=first.telemetry,
     )
     return [
@@ -742,8 +714,7 @@ def solve_batch(requests: "list[SolveRequest] | tuple[SolveRequest, ...]"
     ]
 
 
-def _solve_serial(request: SolveRequest, gather: str,
-                  scatter: str) -> SolveReport:
+def _solve_serial(request: SolveRequest) -> SolveReport:
     btol = request.btol if request.btol is not None else request.atol
     result = lsqr_solve(
         request.system,
@@ -753,7 +724,6 @@ def _solve_serial(request: SolveRequest, gather: str,
         precondition=request.precondition,
         calc_var=request.calc_var,
         x0=request.x0,
-        gather_strategy=gather, scatter_strategy=scatter,
         callback=request.callback,
         telemetry=request.telemetry,
         checkpoint_every=request.checkpoint_every,
@@ -768,13 +738,11 @@ def _solve_serial(request: SolveRequest, gather: str,
     )
 
 
-def _solve_distributed(request: SolveRequest, gather: str,
-                       scatter: str) -> SolveReport:
+def _solve_distributed(request: SolveRequest) -> SolveReport:
     driver = DistributedLSQR(
         request.system, request.ranks,
         precondition=request.precondition,
         calc_var=request.calc_var,
-        gather_strategy=gather, scatter_strategy=scatter,
         telemetry=request.telemetry,
     )
     result = driver.solve(
@@ -792,8 +760,7 @@ def _solve_distributed(request: SolveRequest, gather: str,
     )
 
 
-def _solve_resilient(request: SolveRequest, gather: str,
-                     scatter: str) -> SolveReport:
+def _solve_resilient(request: SolveRequest) -> SolveReport:
     config = request.resilience
     assert config is not None
     driver = ResilientDistributedLSQR(
@@ -801,7 +768,6 @@ def _solve_resilient(request: SolveRequest, gather: str,
         plan=request.fault_plan, retry=request.retry_policy,
         precondition=request.precondition,
         calc_var=request.calc_var,
-        gather_strategy=gather, scatter_strategy=scatter,
         checkpoint_every=config.checkpoint_every,
         checkpoint_path=request.checkpoint_path,
         max_restarts=config.max_restarts,

@@ -60,7 +60,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         ranks=args.ranks,
         atol=args.atol,
         iter_lim=args.iterations,
-        strategy=args.strategy,
         seed=args.seed,
     ))
     print(report.summary())
@@ -192,9 +191,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         print(f"default {config.default_iteration_s:.4f} s -> tuned "
               f"{config.tuned_iteration_s:.4f} s "
               f"({config.gain:.1%} reduction)")
-        print(f"host plan: gather={config.host_gather} "
-              f"scatter={config.host_scatter} "
-              f"astro_scatter={config.host_astro_scatter}")
         stats = service.cache.stats()
         print(f"cache: {spec.digest()[:16]}... "
               f"({stats['hits']} hits / {stats['misses']} misses, "
@@ -566,12 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--noise", type=float, default=1e-9)
     s.add_argument("--atol", type=float, default=1e-10)
     s.add_argument("--iterations", type=int, default=None)
-    s.add_argument("--strategy", default="auto",
-                   choices=("auto", "fused", "classic"),
-                   help="kernel strategy preset (auto = shape "
-                        "heuristic; fused = packed-plan gather + "
-                        "sorted-segment scatter; classic = four-kernel "
-                        "production-style path)")
     s.add_argument("--ranks", type=int, default=1,
                    help="run the distributed driver on N simulated "
                         "MPI ranks (same step engine, same stopping "

@@ -3,13 +3,15 @@
 This is the paper's primary computational object (§III-B/§IV): an
 iterative LSQR solve whose cost is dominated by the two sparse
 matrix-vector products ``aprod1`` (``b += A x``) and ``aprod2``
-(``x += A^T b``), each implemented as four per-submatrix kernels.
+(``x += A^T b``), here one pass each over a compiled CSR matrix.
 
-- :mod:`repro.core.kernels` -- gather/scatter kernels per submatrix,
-  each with several execution strategies (the Python analogue of the
-  paper's per-framework kernel implementations);
-- :mod:`repro.core.aprod` -- the ``aprod{1,2}`` dispatch layer and the
-  :class:`~repro.core.aprod.AprodOperator`;
+- :mod:`repro.core.kernels` -- the production code's four
+  per-submatrix gather/scatter kernels, each with several execution
+  strategies (the Python analogue of the paper's per-framework kernel
+  implementations), kept as the test oracle and for emulating each
+  port's summation order;
+- :mod:`repro.core.aprod` -- the :class:`~repro.core.aprod.AprodOperator`
+  behind every ``aprod{1,2}``;
 - :mod:`repro.core.precond` -- the column-scaling (Jacobi)
   preconditioner of the customized LSQR;
 - :mod:`repro.core.engine` -- the single Paige & Saunders step engine

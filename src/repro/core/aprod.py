@@ -1,30 +1,35 @@
-"""The ``aprod1`` / ``aprod2`` dispatch layer.
+"""The ``aprod1`` / ``aprod2`` operator.
 
 §III-B: the two most intensive computations of one LSQR iteration are
 
 - ``aprod1``:  ``b_hat = A @ x``          (Eq. 3)
 - ``aprod2``:  ``x_hat += A.T @ b_hat``   (Eq. 4)
 
-each executed as four per-submatrix kernels.  :class:`AprodOperator`
-binds a :class:`~repro.system.GaiaSystem` to a choice of kernel
-strategies, caches the reconstructed column indices, handles the
-constraint rows appended below the observation block, and optionally
-reports per-kernel work to a profiler hook (the Python analogue of
-running under ``nsys``/``rocprof``).
+:class:`AprodOperator` binds a :class:`~repro.system.GaiaSystem` to one
+compiled operator: the system expanded once into a SciPy CSR matrix
+``A`` (int32 indices, the constraint rows as ordinary rows, see
+:meth:`~repro.system.GaiaSystem.to_scipy_csr`).  ``aprod1`` is
+``out += A @ x``; ``aprod2`` is ``out += A.T @ y`` through the CSC view
+over the same three arrays, so no transposed copy is ever built.  The
+batched products run one sparse-times-dense pass over the whole
+``(n, K)`` block, and each member's column is bitwise its solo product.
+A bandwidth-bound kernel is decided by the bytes it moves per nonzero,
+and CSR moves 12 (an 8-byte coefficient plus a 4-byte column index).
 
-Beyond the four-kernel reference path, the operator can compile the
-system into a fused :class:`~repro.core.kernels.plan.AprodPlan`
-(``gather_strategy="fused"`` / ``scatter_strategy="sorted_segment"``):
-one packed gather pass for ``aprod1`` and one deterministic sorted
-segment reduction for ``aprod2``, with every workspace preallocated at
-plan-build time.  ``"auto"`` resolves the strategies from the system
-shape via :func:`~repro.core.kernels.plan.select_strategies` -- the
-host analogue of the paper's per-platform kernel tuning.
+The per-submatrix kernels of :mod:`repro.core.kernels` -- the
+``aprod{1,2}_Kernel_astro/att/instr/glob`` split of the CUDA code (§IV)
+-- stay selectable as explicit strategies, never as the default: the
+pure-Python ``loop`` reference is the test oracle, and the ``atomic`` /
+``bincount`` / ``sorted`` scatters emulate the summation orders of the
+individual ports for the Fig. 6 comparison
+(:mod:`repro.validation.compare`).
+
+Every kernel execution can be reported to a profiler hook (the Python
+analogue of running under ``nsys``/``rocprof``).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
 import numpy as np
@@ -33,171 +38,101 @@ from repro.core.kernels import astro as k_astro
 from repro.core.kernels import att as k_att
 from repro.core.kernels import glob as k_glob
 from repro.core.kernels import instr as k_instr
-from repro.core.kernels.gather_scatter import column_sq_norms
-from repro.core.kernels.plan import (
-    FUSED_GATHER,
-    FUSED_MIN_OBS,
-    SORTED_SEGMENT_SCATTER,
-    AprodPlan,
-    select_strategies,
+from repro.core.kernels.gather_scatter import (
+    GATHER_STRATEGIES,
+    SCATTER_STRATEGIES,
 )
 from repro.obs.telemetry import Telemetry
 from repro.system.sparse import GaiaSystem
 
-#: Kernel names in submission order (aprod1 then aprod2, §IV streams).
-KERNEL_NAMES = (
-    "aprod1_astro", "aprod1_att", "aprod1_instr", "aprod1_glob",
-    "aprod2_astro", "aprod2_att", "aprod2_instr", "aprod2_glob",
-)
-
-#: Kernel names of the fused plan path (one kernel per direction).
-FUSED_KERNEL_NAMES = ("aprod1_fused", "aprod2_fused")
+#: The default strategy of both directions: one pass over the CSR ``A``.
+CSR = "csr"
 
 #: Hook signature: (kernel_name, rows, nnz) -> None.
 KernelHook = Callable[[str, int, int], None]
 
-#: Minimum batch width at which ``batch_kernel="auto"`` switches the
-#: batched products to the CSR SpMM pass: below this the einsum plan
-#: kernels amortize enough, and the narrower the batch the less the
-#: shared matrix read buys.
-SPMM_MIN_BATCH = 4
-
-#: Valid ``batch_kernel`` settings.
-BATCH_KERNELS = ("auto", "spmm", "einsum")
-
 
 class AprodOperator:
-    """``A`` / ``A^T`` products for one system, with pluggable kernels.
+    """``A`` / ``A^T`` products for one system.
 
     Parameters
     ----------
     system:
         The bound system.
     gather_strategy:
-        Strategy for all ``aprod1`` kernels (see
-        :data:`~repro.core.kernels.GATHER_STRATEGIES`), plus
-        ``"fused"`` (the packed single-pass plan kernel) and
-        ``"auto"`` (shape heuristic; the default).
+        ``"csr"`` (the default) runs ``aprod1`` as one CSR product;
+        any of :data:`~repro.core.kernels.GATHER_STRATEGIES` runs the
+        four per-submatrix gather kernels with that strategy instead.
     scatter_strategy:
-        Strategy for the colliding ``aprod2`` kernels (attitude and
-        instrumental; see
-        :data:`~repro.core.kernels.SCATTER_STRATEGIES`), plus
-        ``"sorted_segment"`` (the whole transpose product as one
-        collision-free, bitwise-deterministic segment reduction) and
-        ``"auto"``.
+        ``"csr"`` (the default) runs ``aprod2`` through the CSC view of
+        ``A``; any of :data:`~repro.core.kernels.SCATTER_STRATEGIES`
+        runs the per-submatrix scatter kernels, with this strategy for
+        the colliding attitude and instrumental blocks.
     astro_scatter_strategy:
-        Strategy for the astrometric ``aprod2`` kernel; defaults to the
-        collision-free ``bincount`` reduction and accepts the
-        ``sorted`` fast path on star-sorted systems (unused when the
-        scatter runs through the fused plan).
-    batch_hint:
-        Intended trailing batch width of the callers (1 = single
-        solve).  Only consulted by the ``"auto"`` strategy resolution:
-        the fused plan's per-member workspaces multiply by the batch
-        width, so a batched caller may resolve to the cache-blocked
-        kernels where a solo caller would fuse (see
-        :func:`~repro.core.kernels.plan.select_strategies`).
-    batch_kernel:
-        How :meth:`aprod1_batch` / :meth:`aprod2_batch` execute:
-        ``"auto"`` (default) routes batches of
-        :data:`SPMM_MIN_BATCH`-plus members on the fused path at
-        production-like sizes through one CSR SpMM pass -- the shared
-        matrix read is the whole point of a many-RHS sweep -- and
-        keeps the einsum plan kernels otherwise; ``"spmm"`` /
-        ``"einsum"`` force the choice.  SpMM summation order differs
-        from the plan kernels at the reassociation level, so it only
-        engages where the equivalence contract is already rtol-pinned
-        (never on the bitwise classic presets).
+        Strategy of the astrometric scatter kernel when
+        ``scatter_strategy`` is not ``"csr"``: ``bincount`` (default)
+        or another of :data:`~repro.core.kernels.SCATTER_STRATEGIES`,
+        or the ``sorted`` fast path of star-sorted systems.
     kernel_hook:
         Optional callable invoked after each kernel with
         ``(name, rows, nnz)``.
     telemetry:
-        Optional :class:`~repro.obs.Telemetry`; every kernel execution
-        then increments the ``aprod.kernel_calls`` and
-        ``aprod.kernel_nnz`` counters (labeled by kernel name), the
-        CPU-side analogue of the per-kernel launch counts ``nsys``
-        reports.  Building a fused plan additionally sets the
-        ``aprod.plan_build_ms`` gauge and ``aprod.plan_workspace_bytes``.
+        Optional :class:`~repro.obs.Telemetry`.  Building the operator
+        increments ``aprod.operator_builds``; every kernel execution
+        increments ``aprod.kernel_calls`` and ``aprod.kernel_nnz``
+        (labeled by kernel name, e.g. ``aprod1_csr``), the CPU-side
+        analogue of the per-kernel launch counts ``nsys`` reports.
     """
 
     def __init__(
         self,
         system: GaiaSystem,
         *,
-        gather_strategy: str = "auto",
-        scatter_strategy: str = "auto",
-        astro_scatter_strategy: str = "auto",
-        batch_hint: int = 1,
-        batch_kernel: str = "auto",
+        gather_strategy: str = CSR,
+        scatter_strategy: str = CSR,
+        astro_scatter_strategy: str = "bincount",
         kernel_hook: KernelHook | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
-        self.system = system
-        if batch_hint < 1:
-            raise ValueError(f"batch_hint must be >= 1, got {batch_hint}")
-        if batch_kernel not in BATCH_KERNELS:
+        if gather_strategy not in (CSR, *GATHER_STRATEGIES):
             raise ValueError(
-                f"unknown batch_kernel {batch_kernel!r}; expected one "
-                f"of {BATCH_KERNELS}"
+                f"unknown gather strategy {gather_strategy!r}; expected "
+                f"one of {(CSR, *GATHER_STRATEGIES)}"
             )
-        self.batch_hint = batch_hint
-        self.batch_kernel = batch_kernel
-        if "auto" in (gather_strategy, scatter_strategy,
-                      astro_scatter_strategy):
-            selection = select_strategies(system.dims, batch=batch_hint)
-            if gather_strategy == "auto":
-                gather_strategy = selection.gather
-            if scatter_strategy == "auto":
-                scatter_strategy = selection.scatter
-            if astro_scatter_strategy == "auto":
-                astro_scatter_strategy = selection.astro_scatter
+        if scatter_strategy not in (CSR, *SCATTER_STRATEGIES):
+            raise ValueError(
+                f"unknown scatter strategy {scatter_strategy!r}; "
+                f"expected one of {(CSR, *SCATTER_STRATEGIES)}"
+            )
+        if astro_scatter_strategy not in ("sorted", *SCATTER_STRATEGIES):
+            raise ValueError(
+                f"unknown astro scatter strategy "
+                f"{astro_scatter_strategy!r}; expected one of "
+                f"{('sorted', *SCATTER_STRATEGIES)}"
+            )
+        self.system = system
         self.gather_strategy = gather_strategy
         self.scatter_strategy = scatter_strategy
         self.astro_scatter_strategy = astro_scatter_strategy
         self.kernel_hook = kernel_hook
         self.telemetry = telemetry
 
-        d = system.dims
-        # Column caches: rebuilt once, reused every iteration (the GPU
-        # ports keep the index arrays device-resident for the same
-        # reason).
-        self._astro_cols = k_astro.columns(system.matrix_index_astro)
-        self._att_cols = k_att.columns(
-            system.matrix_index_att, d.att_stride, d.att_offset
-        )
-        self._instr_cols = k_instr.columns(system.instr_col, d.instr_offset)
-        self._glob_col = d.glob_offset if d.n_glob_params else -1
-
-        # The SpMM decision is fixed per operator (by the *intended*
-        # batch width, not the per-call active count), so one batched
-        # solve runs the same kernel for its whole trajectory however
-        # convergence staggers.  ``"auto"`` takes the SpMM pass only on
-        # the fused (rtol-pinned) path: the classic presets keep their
-        # bitwise per-member guarantee at every size.
-        if batch_kernel == "spmm":
-            self._batch_spmm = True
-        elif batch_kernel == "einsum":
-            self._batch_spmm = False
-        else:
-            self._batch_spmm = (
-                (gather_strategy == FUSED_GATHER
-                 or scatter_strategy == SORTED_SEGMENT_SCATTER)
-                and batch_hint >= SPMM_MIN_BATCH
-                and system.dims.n_obs >= FUSED_MIN_OBS
+        self._a = self._at = None
+        if CSR in (gather_strategy, scatter_strategy):
+            self._a = system.to_scipy_csr()
+            self._at = self._a.T  # CSC view over the same arrays
+        if gather_strategy != CSR or scatter_strategy != CSR:
+            # Column caches of the per-submatrix kernels.
+            d = system.dims
+            self._astro_cols = k_astro.columns(system.matrix_index_astro)
+            self._att_cols = k_att.columns(
+                system.matrix_index_att, d.att_stride, d.att_offset
             )
-        self._csr = None  # lazy (A, A^T) pair for the SpMM pass
-
-        self._plan: AprodPlan | None = None
-        if (gather_strategy == FUSED_GATHER
-                or scatter_strategy == SORTED_SEGMENT_SCATTER):
-            t0 = time.perf_counter()
-            self._plan = AprodPlan(system)
-            build_ms = (time.perf_counter() - t0) * 1e3
-            if telemetry is not None:
-                telemetry.gauge("aprod.plan_build_ms").set(build_ms)
-                telemetry.gauge("aprod.plan_workspace_bytes").set(
-                    float(self._plan.workspace_nbytes)
-                )
+            self._instr_cols = k_instr.columns(system.instr_col,
+                                               d.instr_offset)
+            self._glob_col = d.glob_offset if d.n_glob_params else -1
+        if telemetry is not None:
+            telemetry.counter("aprod.operator_builds").inc()
 
     # ------------------------------------------------------------------
     @property
@@ -205,31 +140,23 @@ class AprodOperator:
         """(rows including constraints, unknowns)."""
         return (self.system.n_rows, self.system.dims.n_params)
 
-    @property
-    def plan(self) -> AprodPlan | None:
-        """The compiled fused plan, if either strategy routes through one."""
-        return self._plan
-
-    def _spmm_csr(self):
-        """The lazily built ``(A, A^T)`` CSR pair of the SpMM pass.
-
-        One sparse matrix-times-multiple-vectors product reads the
-        coefficients once for the whole batch -- the block-Krylov
-        amortization a per-member loop (or a per-member einsum plane)
-        cannot get.  Constraint rows are part of the CSR, so the SpMM
-        branches skip the per-member constraint loops too.
-        """
-        if self._csr is None:
-            a = self.system.to_scipy_csr()
-            self._csr = (a, a.T.tocsr())
-        return self._csr
-
     def _emit(self, name: str, rows: int, nnz: int) -> None:
         if self.kernel_hook is not None:
             self.kernel_hook(name, rows, nnz)
         if self.telemetry is not None:
             self.telemetry.counter("aprod.kernel_calls", kernel=name).inc()
             self.telemetry.counter("aprod.kernel_nnz", kernel=name).inc(nnz)
+
+    @staticmethod
+    def _accumulator(out: np.ndarray | None, shape: tuple[int, ...]
+                     ) -> np.ndarray:
+        if out is None:
+            return np.zeros(shape)
+        if out.shape != shape:
+            raise ValueError(
+                f"out has shape {out.shape}, expected {shape}"
+            )
+        return out
 
     # ------------------------------------------------------------------
     def aprod1(self, x: np.ndarray, out: np.ndarray | None = None
@@ -239,39 +166,15 @@ class AprodOperator:
         Returns the (n_rows,) accumulator; allocates it when ``out`` is
         None.
         """
-        sysm = self.system
-        d = sysm.dims
-        if x.shape != (d.n_params,):
-            raise ValueError(
-                f"x has shape {x.shape}, expected ({d.n_params},)"
-            )
-        if out is None:
-            out = np.zeros(sysm.n_rows)
-        elif out.shape != (sysm.n_rows,):
-            raise ValueError(
-                f"out has shape {out.shape}, expected ({sysm.n_rows},)"
-            )
-        obs = out[: d.n_obs]
-        if self.gather_strategy == FUSED_GATHER:
-            plan = self._plan
-            assert plan is not None
-            plan.aprod1(x, obs)
-            self._emit("aprod1_fused", d.n_obs, d.n_obs * plan.k_total)
+        m, n = self.shape
+        if x.shape != (n,):
+            raise ValueError(f"x has shape {x.shape}, expected ({n},)")
+        out = self._accumulator(out, (m,))
+        if self.gather_strategy == CSR:
+            out += self._a @ x
+            self._emit("aprod1_csr", m, self._a.nnz)
         else:
-            k_astro.aprod1_astro(sysm.astro_values, self._astro_cols, x,
-                                 obs, strategy=self.gather_strategy)
-            self._emit("aprod1_astro", d.n_obs, d.n_obs * 5)
-            k_att.aprod1_att(sysm.att_values, self._att_cols, x, obs,
-                             strategy=self.gather_strategy)
-            self._emit("aprod1_att", d.n_obs, d.n_obs * 12)
-            k_instr.aprod1_instr(sysm.instr_values, self._instr_cols, x,
-                                 obs, strategy=self.gather_strategy)
-            self._emit("aprod1_instr", d.n_obs, d.n_obs * 6)
-            if d.n_glob_params:
-                k_glob.aprod1_glob(sysm.glob_values, self._glob_col, x, obs)
-                self._emit("aprod1_glob", d.n_obs, d.n_obs)
-        if sysm.constraints is not None and len(sysm.constraints):
-            out[d.n_obs:] += sysm.constraints.apply_forward(x)
+            self._aprod1_kernels(x, out)
         return out
 
     def aprod2(self, y: np.ndarray, out: np.ndarray | None = None
@@ -279,48 +182,59 @@ class AprodOperator:
         """``out += A.T @ y`` over observation and constraint rows.
 
         Returns the (n_params,) accumulator; allocates it when ``out``
-        is None.  With ``scatter_strategy="sorted_segment"`` the whole
-        observation block reduces in one deterministic pass whose
-        summation order is frozen at plan-build time, so repeated
-        applications are bitwise identical.
+        is None.  The CSC product sums each column's contributions in
+        row order, so repeated applications are bitwise identical.
         """
+        m, n = self.shape
+        if y.shape != (m,):
+            raise ValueError(f"y has shape {y.shape}, expected ({m},)")
+        out = self._accumulator(out, (n,))
+        if self.scatter_strategy == CSR:
+            out += self._at @ y
+            self._emit("aprod2_csr", m, self._a.nnz)
+        else:
+            self._aprod2_kernels(y, out)
+        return out
+
+    # -- the per-submatrix kernels (explicit strategies only) -----------
+    def _aprod1_kernels(self, x: np.ndarray, out: np.ndarray) -> None:
         sysm = self.system
         d = sysm.dims
-        if y.shape != (sysm.n_rows,):
-            raise ValueError(
-                f"y has shape {y.shape}, expected ({sysm.n_rows},)"
-            )
-        if out is None:
-            out = np.zeros(d.n_params)
-        elif out.shape != (d.n_params,):
-            raise ValueError(
-                f"out has shape {out.shape}, expected ({d.n_params},)"
-            )
+        obs = out[: d.n_obs]
+        k_astro.aprod1_astro(sysm.astro_values, self._astro_cols, x, obs,
+                             strategy=self.gather_strategy)
+        self._emit("aprod1_astro", d.n_obs, d.n_obs * 5)
+        k_att.aprod1_att(sysm.att_values, self._att_cols, x, obs,
+                         strategy=self.gather_strategy)
+        self._emit("aprod1_att", d.n_obs, d.n_obs * 12)
+        k_instr.aprod1_instr(sysm.instr_values, self._instr_cols, x, obs,
+                             strategy=self.gather_strategy)
+        self._emit("aprod1_instr", d.n_obs, d.n_obs * 6)
+        if d.n_glob_params:
+            k_glob.aprod1_glob(sysm.glob_values, self._glob_col, x, obs)
+            self._emit("aprod1_glob", d.n_obs, d.n_obs)
+        if sysm.constraints is not None and len(sysm.constraints):
+            out[d.n_obs:] += sysm.constraints.apply_forward(x)
+
+    def _aprod2_kernels(self, y: np.ndarray, out: np.ndarray) -> None:
+        sysm = self.system
+        d = sysm.dims
         obs_y = y[: d.n_obs]
-        if self.scatter_strategy == SORTED_SEGMENT_SCATTER:
-            plan = self._plan
-            assert plan is not None
-            plan.aprod2(obs_y, out)
-            self._emit("aprod2_fused", d.n_obs, d.n_obs * plan.k_total)
-        else:
-            k_astro.aprod2_astro(sysm.astro_values, self._astro_cols,
-                                 obs_y, out,
-                                 strategy=self.astro_scatter_strategy)
-            self._emit("aprod2_astro", d.n_obs, d.n_obs * 5)
-            k_att.aprod2_att(sysm.att_values, self._att_cols, obs_y, out,
-                             strategy=self.scatter_strategy)
-            self._emit("aprod2_att", d.n_obs, d.n_obs * 12)
-            k_instr.aprod2_instr(sysm.instr_values, self._instr_cols,
-                                 obs_y, out,
-                                 strategy=self.scatter_strategy)
-            self._emit("aprod2_instr", d.n_obs, d.n_obs * 6)
-            if d.n_glob_params:
-                k_glob.aprod2_glob(sysm.glob_values, self._glob_col,
-                                   obs_y, out)
-                self._emit("aprod2_glob", d.n_obs, d.n_obs)
+        k_astro.aprod2_astro(sysm.astro_values, self._astro_cols, obs_y,
+                             out, strategy=self.astro_scatter_strategy)
+        self._emit("aprod2_astro", d.n_obs, d.n_obs * 5)
+        k_att.aprod2_att(sysm.att_values, self._att_cols, obs_y, out,
+                         strategy=self.scatter_strategy)
+        self._emit("aprod2_att", d.n_obs, d.n_obs * 12)
+        k_instr.aprod2_instr(sysm.instr_values, self._instr_cols, obs_y,
+                             out, strategy=self.scatter_strategy)
+        self._emit("aprod2_instr", d.n_obs, d.n_obs * 6)
+        if d.n_glob_params:
+            k_glob.aprod2_glob(sysm.glob_values, self._glob_col, obs_y,
+                               out)
+            self._emit("aprod2_glob", d.n_obs, d.n_obs)
         if sysm.constraints is not None and len(sysm.constraints):
             sysm.constraints.apply_transpose(y[d.n_obs:], out)
-        return out
 
     # -- trailing batch axis -------------------------------------------
     def aprod1_batch(self, X: np.ndarray, out: np.ndarray | None = None
@@ -329,41 +243,18 @@ class AprodOperator:
 
         ``X`` is ``(K, n_params)`` batch-major; returns the
         ``(K, n_rows)`` accumulator (allocated when ``out`` is None).
-        On the SpMM path (see ``batch_kernel``) one CSR product reads
-        the matrix once for the whole batch; the fused plan advances
-        all members in one packed gather/einsum pass; any other
-        strategy falls back to a per-member loop through
-        :meth:`aprod1`, so member ``j`` is always exactly
-        ``aprod1(X[j])``.
+        One CSR pass reads the matrix once for the whole batch, and
+        member ``j`` is bitwise ``aprod1(X[j])`` (explicit strategies
+        loop over the members).
         """
-        sysm = self.system
-        d = sysm.dims
-        if X.ndim != 2 or X.shape[1] != d.n_params:
-            raise ValueError(
-                f"X has shape {X.shape}, expected (K, {d.n_params})"
-            )
+        m, n = self.shape
+        if X.ndim != 2 or X.shape[1] != n:
+            raise ValueError(f"X has shape {X.shape}, expected (K, {n})")
         k = X.shape[0]
-        if out is None:
-            out = np.zeros((k, sysm.n_rows))
-        elif out.shape != (k, sysm.n_rows):
-            raise ValueError(
-                f"out has shape {out.shape}, expected "
-                f"({k}, {sysm.n_rows})"
-            )
-        if self._batch_spmm:
-            a, _ = self._spmm_csr()
-            out += (a @ np.ascontiguousarray(X.T)).T
-            self._emit("aprod1_spmm", k * sysm.n_rows, k * a.nnz)
-        elif self.gather_strategy == FUSED_GATHER:
-            plan = self._plan
-            assert plan is not None
-            plan.aprod1_batch(X, out[:, : d.n_obs])
-            self._emit("aprod1_fused", k * d.n_obs,
-                       k * d.n_obs * plan.k_total)
-            if sysm.constraints is not None and len(sysm.constraints):
-                for j in range(k):
-                    out[j, d.n_obs:] += sysm.constraints.apply_forward(
-                        X[j])
+        out = self._accumulator(out, (k, m))
+        if self.gather_strategy == CSR:
+            out += (self._a @ X.T).T
+            self._emit("aprod1_csr", k * m, k * self._a.nnz)
         else:
             for j in range(k):
                 self.aprod1(X[j], out=out[j])
@@ -374,39 +265,16 @@ class AprodOperator:
         """``out[j] += A.T @ Y[j]`` for a stacked batch of row vectors.
 
         ``Y`` is ``(K, n_rows)``; returns the ``(K, n_params)``
-        accumulator.  The sorted-segment plan reduces all members in
-        one batched ``reduceat`` pass with the build-time summation
-        order, so member ``j`` is bitwise ``aprod2(Y[j])``; other
-        strategies loop per member.
+        accumulator.  Member ``j`` is bitwise ``aprod2(Y[j])``.
         """
-        sysm = self.system
-        d = sysm.dims
-        if Y.ndim != 2 or Y.shape[1] != sysm.n_rows:
-            raise ValueError(
-                f"Y has shape {Y.shape}, expected (K, {sysm.n_rows})"
-            )
+        m, n = self.shape
+        if Y.ndim != 2 or Y.shape[1] != m:
+            raise ValueError(f"Y has shape {Y.shape}, expected (K, {m})")
         k = Y.shape[0]
-        if out is None:
-            out = np.zeros((k, d.n_params))
-        elif out.shape != (k, d.n_params):
-            raise ValueError(
-                f"out has shape {out.shape}, expected "
-                f"({k}, {d.n_params})"
-            )
-        if self._batch_spmm:
-            _, at = self._spmm_csr()
-            out += (at @ np.ascontiguousarray(Y.T)).T
-            self._emit("aprod2_spmm", k * d.n_params, k * at.nnz)
-        elif self.scatter_strategy == SORTED_SEGMENT_SCATTER:
-            plan = self._plan
-            assert plan is not None
-            plan.aprod2_batch(Y[:, : d.n_obs], out)
-            self._emit("aprod2_fused", k * d.n_obs,
-                       k * d.n_obs * plan.k_total)
-            if sysm.constraints is not None and len(sysm.constraints):
-                for j in range(k):
-                    sysm.constraints.apply_transpose(Y[j, d.n_obs:],
-                                                     out[j])
+        out = self._accumulator(out, (k, n))
+        if self.scatter_strategy == CSR:
+            out += (self._at @ Y.T).T
+            self._emit("aprod2_csr", k * m, k * self._a.nnz)
         else:
             for j in range(k):
                 self.aprod2(Y[j], out=out[j])
@@ -414,23 +282,12 @@ class AprodOperator:
 
     # ------------------------------------------------------------------
     def column_sq_norms(self) -> np.ndarray:
-        """Squared column norms of ``A`` (observations + constraints)."""
-        sysm = self.system
-        d = sysm.dims
-        out = np.zeros(d.n_params)
-        column_sq_norms(sysm.astro_values, self._astro_cols, out)
-        column_sq_norms(sysm.att_values, self._att_cols, out)
-        column_sq_norms(sysm.instr_values, self._instr_cols, out)
-        if d.n_glob_params:
-            column_sq_norms(
-                sysm.glob_values[:, :1],
-                np.full((d.n_obs, 1), self._glob_col, dtype=np.int64),
-                out,
-            )
-        if sysm.constraints is not None:
-            for r in sysm.constraints:
-                column_sq_norms(r.vals[None, :], r.cols[None, :], out)
-        return out
+        """Squared column norms of ``A`` (observations + constraints).
+
+        Taken from :meth:`~repro.system.GaiaSystem.column_sq_norms`,
+        the one definition every solve path shares.
+        """
+        return self.system.column_sq_norms()
 
     def as_linear_operator(self):
         """SciPy ``LinearOperator`` view (for cross-checks)."""

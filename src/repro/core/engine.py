@@ -296,25 +296,9 @@ class LSQRStepEngine:
         self._dampsq = damp * damp
         n = op.shape[1]
         # Hot-loop workspaces, allocated once: the loop itself performs
-        # no array allocations.  The same guarantee extends into the
-        # kernels when `op` runs a fused AprodPlan (the "fused" /
-        # "sorted_segment" strategies), making the whole iteration
-        # allocation-free -- bench_aprod_plan.py pins this with a
-        # tracemalloc probe.
+        # no array allocations outside the operator's products.
         self._dk = np.empty(n)
         self._tmp = np.empty(n)
-
-    @property
-    def workspace_bytes(self) -> int:
-        """Bytes preallocated for the hot loop (engine vectors plus the
-        operator's plan workspaces, when it exposes them)."""
-        total = self._dk.nbytes + self._tmp.nbytes
-        plan = getattr(self.op, "plan", None)
-        if plan is None:
-            plan = getattr(getattr(self.op, "op", None), "plan", None)
-        if plan is not None:
-            total += plan.workspace_nbytes
-        return total
 
     # ------------------------------------------------------------------
     def start(self, b_local: np.ndarray) -> EngineState:
@@ -605,9 +589,9 @@ class BatchedLSQRStepEngine:
     recurrences and norms run per member in Python floats in exactly
     the serial order, so each member reproduces the serial trajectory.
     Row scaling by a per-member scalar and per-row ``np.dot`` norms are
-    elementwise-identical to their serial counterparts, which is what
-    makes the classic kernel path bitwise and the fused path
-    reassociation-only (rtol ~ 1e-15 observed, pinned at 1e-12).
+    elementwise-identical to their serial counterparts; with the
+    batched CSR products summing each member in its solo order, every
+    member is bitwise its serial solve.
 
     Per-member stopping uses the same rules as the serial engine; a
     member whose recurrence goes non-finite (e.g. a fault injected into
@@ -675,20 +659,6 @@ class BatchedLSQRStepEngine:
         self._Wws = np.empty((batch, n))
         self._DKws = np.empty((batch, n))
         self._TMPws = np.empty((batch, n))
-
-    @property
-    def workspace_bytes(self) -> int:
-        """Bytes preallocated for the batched hot loop (engine stacks
-        plus the operator's plan workspaces, when it exposes them)."""
-        total = (self._Uws.nbytes + self._Vws.nbytes + self._Xws.nbytes
-                 + self._Wws.nbytes + self._DKws.nbytes
-                 + self._TMPws.nbytes)
-        plan = getattr(self.op, "plan", None)
-        if plan is None:
-            plan = getattr(getattr(self.op, "op", None), "plan", None)
-        if plan is not None:
-            total += plan.workspace_nbytes
-        return total
 
     # ------------------------------------------------------------------
     def start(self, B: np.ndarray) -> BatchedEngineState:

@@ -23,17 +23,14 @@ Scatter strategies and their GPU analogues:
                     collision-free reduction tree
 ``sorted``          ``np.add.reduceat`` over pre-sorted keys (astro
                     only)
-``sorted_segment``  whole-matrix ``np.add.reduceat`` over a plan-built
-                    argsort permutation (:mod:`~repro.core.kernels.
-                    plan`) -- collision-free *and* bitwise
-                    deterministic
 ``loop``            pure-Python reference used to validate the others
 ==================  ===================================================
 
-:mod:`repro.core.kernels.plan` compiles a whole system into a fused
-execution plan (packed gather for ``aprod1``, the sort-segment scatter
-for ``aprod2``, preallocated workspaces) -- the tuned hot path the
-``"auto"`` strategy selection targets.
+None of these is the solver's hot path: :class:`~repro.core.aprod.
+AprodOperator` multiplies with one CSR matrix by default and runs these
+kernels only when a strategy is named explicitly -- the ``loop``
+reference as the test oracle, the scatters to emulate each port's
+summation order.
 """
 
 from repro.core.kernels.gather_scatter import (
@@ -42,13 +39,6 @@ from repro.core.kernels.gather_scatter import (
     gather_dot,
     scatter_add,
 )
-from repro.core.kernels.plan import (
-    AprodPlan,
-    SortedSegmentScatter,
-    StrategySelection,
-    fused_gather_dot,
-    select_strategies,
-)
 from repro.core.kernels import astro, att, glob, instr
 
 __all__ = [
@@ -56,11 +46,6 @@ __all__ = [
     "SCATTER_STRATEGIES",
     "gather_dot",
     "scatter_add",
-    "AprodPlan",
-    "SortedSegmentScatter",
-    "StrategySelection",
-    "fused_gather_dot",
-    "select_strategies",
     "astro",
     "att",
     "instr",

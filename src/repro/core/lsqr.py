@@ -3,8 +3,8 @@
 A faithful implementation of Paige & Saunders' LSQR (refs [20], [21]
 of the paper: ACM TOMS 1982a/b) with the AVU-GSR customizations:
 
-- the matrix products are the structured ``aprod1`` / ``aprod2``
-  kernels (never a materialized sparse matrix);
+- the matrix products are ``aprod1`` / ``aprod2`` on the compiled
+  CSR operator (:mod:`repro.core.aprod`);
 - columns are equilibrated by the Jacobi right-preconditioner
   (:mod:`repro.core.precond`);
 - constraint rows ride below the observation block;
@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.aprod import AprodOperator
+from repro.core.aprod import CSR, AprodOperator
 from repro.core.engine import (
     Aprod,
     BatchedAprod,
@@ -116,9 +116,9 @@ def lsqr_solve(
     precondition: bool = True,
     calc_var: bool = True,
     x0: np.ndarray | None = None,
-    gather_strategy: str = "auto",
-    scatter_strategy: str = "auto",
-    astro_scatter_strategy: str = "auto",
+    gather_strategy: str = CSR,
+    scatter_strategy: str = CSR,
+    astro_scatter_strategy: str = "bincount",
     callback: IterationCallback | None = None,
     clock: Callable[[], float] = time.perf_counter,
     telemetry: Telemetry | None = None,
@@ -157,13 +157,10 @@ def lsqr_solve(
         applies to the correction, not to ``x0`` itself.
     gather_strategy, scatter_strategy, astro_scatter_strategy:
         Kernel strategies, forwarded to the operator (GaiaSystem input
-        only).  The default ``"auto"`` resolves by system shape
-        (:func:`~repro.core.kernels.plan.select_strategies`):
-        production-scale systems compile a fused
-        :class:`~repro.core.kernels.plan.AprodPlan` (packed gather +
-        deterministic sorted-segment scatter, zero per-iteration
-        kernel allocations), tiny ones keep the classic four-kernel
-        reference path.
+        only).  The default runs both products on the operator's CSR
+        matrix; naming a per-submatrix strategy instead emulates one
+        port's summation order (see
+        :class:`~repro.core.aprod.AprodOperator`).
     callback:
         Invoked after every iteration with
         ``(itn, x_physical, r2norm)``.
@@ -323,10 +320,6 @@ def lsqr_solve_batch(
     precondition: bool = True,
     calc_var: bool = True,
     x0s: Sequence[np.ndarray | None] | None = None,
-    gather_strategy: str = "auto",
-    scatter_strategy: str = "auto",
-    astro_scatter_strategy: str = "auto",
-    batch_kernel: str = "auto",
     clock: Callable[[], float] = time.perf_counter,
     telemetry: Telemetry | None = None,
 ) -> list[LSQRResult]:
@@ -336,11 +329,9 @@ def lsqr_solve_batch(
     :class:`~repro.core.engine.BatchedLSQRStepEngine` advances every
     member per iteration with one batched ``aprod`` pass each way, and
     members that converge early freeze (their own ``itn``/``istop``)
-    while the rest keep iterating.  Member ``j``'s result matches
-    ``lsqr_solve(system_with_b_j, damp=damps[j], ...)`` to the pinned
-    equivalence contract of ``tests/test_engine_batch.py``: bitwise on
-    the classic kernel path, rtol 1e-12 on the fused plan path (where
-    the einsum contraction order may differ).
+    while the rest keep iterating.  Member ``j``'s result is bitwise
+    ``lsqr_solve(system_with_b_j, damp=damps[j], ...)``: the batched
+    CSR products sum every member in its solo order.
 
     Parameters
     ----------
@@ -363,17 +354,6 @@ def lsqr_solve_batch(
     x0s:
         Optional per-member warm starts (physical units), ``None``
         entries meaning a cold start.
-    gather_strategy, scatter_strategy, astro_scatter_strategy:
-        Kernel strategies (GaiaSystem input only).  ``"auto"`` resolves
-        with ``batch_hint=K`` so the fused plan's batched workspaces
-        are counted against the plan budget (a batched caller may
-        resolve classic where a solo caller would fuse).
-    batch_kernel:
-        How the batched products run (GaiaSystem input only):
-        ``"auto"`` takes the shared-read CSR SpMM pass on the fused
-        path at ``K >= SPMM_MIN_BATCH`` and production-like sizes,
-        ``"spmm"`` / ``"einsum"`` force it on or off (see
-        :class:`~repro.core.aprod.AprodOperator`).
     clock, telemetry:
         As for :func:`lsqr_solve`.  Iteration telemetry lands under
         ``lsqr_batch.*``; member ``j``'s ``iteration_times`` are the
@@ -392,15 +372,7 @@ def lsqr_solve_batch(
     ).copy()
 
     if isinstance(system, GaiaSystem):
-        op: BatchedAprod = AprodOperator(
-            system,
-            gather_strategy=gather_strategy,
-            scatter_strategy=scatter_strategy,
-            astro_scatter_strategy=astro_scatter_strategy,
-            batch_hint=K,
-            batch_kernel=batch_kernel,
-            telemetry=telemetry,
-        )
+        op: BatchedAprod = AprodOperator(system, telemetry=telemetry)
     else:
         op = system
     if precondition:

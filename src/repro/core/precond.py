@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.aprod import AprodOperator
+from repro.system.sparse import GaiaSystem
 
 
 @dataclass(frozen=True)
@@ -32,15 +33,25 @@ class ColumnScaling:
     scale: np.ndarray
 
     @classmethod
-    def from_operator(cls, op: AprodOperator) -> "ColumnScaling":
-        """Build from the squared column norms of the bound system."""
-        sq = op.column_sq_norms()
+    def from_system(cls, system: GaiaSystem) -> "ColumnScaling":
+        """Build from the squared column norms of ``system``.
+
+        Needs no operator: the norms come straight from the compressed
+        arrays, so a distributed driver scales every rank's block
+        without expanding the whole matrix.
+        """
+        sq = system.column_sq_norms()
         if np.any(sq < 0) or not np.all(np.isfinite(sq)):
             raise ValueError("column norms must be finite and non-negative")
         norms = np.sqrt(sq)
         scale = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0),
                          1.0)
         return cls(scale=scale)
+
+    @classmethod
+    def from_operator(cls, op: AprodOperator) -> "ColumnScaling":
+        """Build from the squared column norms of the bound system."""
+        return cls.from_system(op.system)
 
     @classmethod
     def identity(cls, n_params: int) -> "ColumnScaling":
@@ -69,9 +80,7 @@ class PreconditionedAprod:
 
     Both directions run through two preallocated unknown-space
     workspaces (the scaled input of ``aprod1``, the unscaled transpose
-    product of ``aprod2``), so wrapping an allocation-free operator --
-    e.g. one running a fused :class:`~repro.core.kernels.plan.
-    AprodPlan` -- keeps the LSQR hot loop allocation-free end to end.
+    product of ``aprod2``).
     """
 
     def __init__(self, op: AprodOperator, scaling: ColumnScaling) -> None:

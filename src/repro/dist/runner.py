@@ -167,30 +167,15 @@ class DistributedLSQR:
     def __init__(self, system: GaiaSystem, n_ranks: int,
                  *, precondition: bool = True,
                  calc_var: bool = True,
-                 gather_strategy: str = "auto",
-                 scatter_strategy: str = "auto",
-                 astro_scatter_strategy: str = "auto",
                  link_cost: Callable[[int], float] | None = None,
                  telemetry: Telemetry | None = None) -> None:
         self.system = system
         self.n_ranks = n_ranks
         self.precondition = precondition
         self.calc_var = calc_var
-        self.gather_strategy = gather_strategy
-        self.scatter_strategy = scatter_strategy
-        self.astro_scatter_strategy = astro_scatter_strategy
         self.link_cost = link_cost
         self.telemetry = telemetry
         self.blocks = partition_by_rows(system, n_ranks)
-
-    def _local_operator(self, block) -> AprodOperator:
-        """One rank's kernel operator with the driver's strategies."""
-        return AprodOperator(
-            slice_system(self.system, block),
-            gather_strategy=self.gather_strategy,
-            scatter_strategy=self.scatter_strategy,
-            astro_scatter_strategy=self.astro_scatter_strategy,
-        )
 
     def solve(self, *, atol: float = 1e-10, btol: float | None = None,
               conlim: float = 1e8, iter_lim: int | None = None,
@@ -218,9 +203,10 @@ class DistributedLSQR:
 
         # The preconditioner is global state computed once (column
         # norms are a sum over all rows) and broadcast, exactly like
-        # the production initialization step.
+        # the production initialization step.  It comes from the
+        # compressed arrays: the only operators built are the ranks'.
         if self.precondition:
-            scaling = ColumnScaling.from_operator(AprodOperator(self.system))
+            scaling = ColumnScaling.from_system(self.system)
         else:
             scaling = ColumnScaling.identity(n)
 
@@ -262,11 +248,10 @@ class DistributedLSQR:
         resume_from: str | Path | None,
     ) -> tuple[np.ndarray, int, float, list[float],
                np.ndarray | None, StopReason, float]:
-        block = self.blocks[comm.rank]
-        local_op = self._local_operator(block)
-        local = local_op.system
-        op = PreconditionedAprod(local_op, scaling)
         tel = self.telemetry
+        local = slice_system(self.system, self.blocks[comm.rank])
+        op = PreconditionedAprod(AprodOperator(local, telemetry=tel),
+                                 scaling)
         backend = CommReduction(comm, telemetry=tel,
                                 link_cost=self.link_cost)
         engine = LSQRStepEngine(
@@ -320,14 +305,11 @@ def distributed_lsqr_solve(
     atol: float = 1e-10,
     btol: float | None = None,
     iter_lim: int | None = None,
-    gather_strategy: str = "auto",
-    scatter_strategy: str = "auto",
     telemetry: Telemetry | None = None,
     callback: IterationCallback | None = None,
 ) -> DistributedResult:
     """Convenience wrapper around :class:`DistributedLSQR`."""
     return DistributedLSQR(
         system, n_ranks, precondition=precondition, calc_var=calc_var,
-        gather_strategy=gather_strategy, scatter_strategy=scatter_strategy,
         telemetry=telemetry,
     ).solve(atol=atol, btol=btol, iter_lim=iter_lim, callback=callback)

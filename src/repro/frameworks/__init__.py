@@ -47,12 +47,7 @@ from repro.frameworks.executor import (
     model_setup,
     run_modeled,
 )
-from repro.frameworks.tuning import (
-    HostTuningResult,
-    TuningResult,
-    tune_host_kernels,
-    tune_port,
-)
+from repro.frameworks.tuning import TuningResult, tune_port
 from repro.frameworks.scaling import (
     ClusterSpec,
     ScalingCurve,
@@ -90,8 +85,6 @@ __all__ = [
     "run_modeled",
     "TuningResult",
     "tune_port",
-    "HostTuningResult",
-    "tune_host_kernels",
     "ClusterSpec",
     "ScalingCurve",
     "ScalingPoint",

@@ -241,9 +241,6 @@ class ResilientDistributedLSQR:
                  retry: RetryPolicy | None = None,
                  precondition: bool = True,
                  calc_var: bool = True,
-                 gather_strategy: str = "auto",
-                 scatter_strategy: str = "auto",
-                 astro_scatter_strategy: str = "auto",
                  checkpoint_every: int = 10,
                  checkpoint_path: str | Path | None = None,
                  max_restarts: int = 3,
@@ -265,9 +262,6 @@ class ResilientDistributedLSQR:
         self.retry = retry if retry is not None else RetryPolicy()
         self.precondition = precondition
         self.calc_var = calc_var
-        self.gather_strategy = gather_strategy
-        self.scatter_strategy = scatter_strategy
-        self.astro_scatter_strategy = astro_scatter_strategy
         self.checkpoint_every = checkpoint_every
         self.checkpoint_path = checkpoint_path
         self.max_restarts = max_restarts
@@ -308,8 +302,7 @@ class ResilientDistributedLSQR:
         if iter_lim is None:
             iter_lim = 2 * n
         if self.precondition:
-            scaling = ColumnScaling.from_operator(
-                AprodOperator(self.system))
+            scaling = ColumnScaling.from_system(self.system)
         else:
             scaling = ColumnScaling.identity(n)
 
@@ -463,12 +456,8 @@ class ResilientDistributedLSQR:
     ) -> tuple[np.ndarray, int, float, list[float],
                np.ndarray | None, StopReason]:
         block = blocks[comm.rank]
-        local_op = AprodOperator(
-            slice_system(self.system, block),
-            gather_strategy=self.gather_strategy,
-            scatter_strategy=self.scatter_strategy,
-            astro_scatter_strategy=self.astro_scatter_strategy,
-        )
+        local_op = AprodOperator(slice_system(self.system, block),
+                                 telemetry=self.telemetry)
         op = PreconditionedAprod(local_op, scaling)
         backend = ResilientCommReduction(
             comm, plan, self.retry,

@@ -11,7 +11,7 @@ digest)``:
   content addressed, so two separately generated but identical systems
   hit;
 - the *config digest* covers every request field that changes the
-  numerics (tolerances, limits, strategy, ranks, seed, resilience
+  numerics (tolerances, limits, ranks, seed, resilience
   rates...), and none that do not (telemetry, callbacks, job ids).
 
 Request *fusion* (batching compatible queued jobs into one
@@ -59,7 +59,7 @@ def config_digest(request: SolveRequest) -> str:
     r = request
     fields = (
         r.ranks, r.atol, r.btol, r.conlim, r.iter_lim, r.damp,
-        r.precondition, r.calc_var, r.strategy, r.seed,
+        r.precondition, r.calc_var, r.seed,
         None if r.x0 is None else hashlib.sha256(r.x0.tobytes())
         .hexdigest(),
         None if r.resilience is None else r.resilience,
@@ -76,7 +76,7 @@ def shared_config_digest(request: SolveRequest) -> str:
     """
     r = request
     fields = (r.ranks, r.atol, r.btol, r.conlim, r.iter_lim,
-              r.precondition, r.calc_var, r.strategy)
+              r.precondition, r.calc_var)
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 

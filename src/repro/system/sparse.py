@@ -191,39 +191,91 @@ class GaiaSystem:
             out += self.glob_values[:, 0] ** 2
         return out
 
+    def column_sq_norms(self) -> np.ndarray:
+        """Squared 2-norm of every column, constraint rows included.
+
+        Read straight from the compressed arrays, one ``np.add.at``
+        pass per stored coefficient slot, so a driver can build the
+        Jacobi preconditioner without expanding the matrix.  Every
+        solve path takes its column norms from here, which keeps the
+        serial, distributed and sliced solves bitwise equal.
+        """
+        d = self.dims
+        out = np.zeros(d.n_params)
+        # (base column array, column offset, coefficient column) per slot
+        slots = [(self.matrix_index_astro, j, self.astro_values[:, j])
+                 for j in range(ASTRO_PARAMS_PER_STAR)]
+        slots += [(self.matrix_index_att,
+                   d.att_offset + a * d.att_stride + b,
+                   self.att_values[:, a * ATT_BLOCK_SIZE + b])
+                  for a in range(ATT_AXES) for b in range(ATT_BLOCK_SIZE)]
+        slots += [(self.instr_col[:, j], d.instr_offset,
+                   self.instr_values[:, j])
+                  for j in range(INSTR_PARAMS_PER_ROW)]
+        for base, offset, w in slots:
+            np.add.at(out, base + offset, w * w)
+        if d.n_glob_params:
+            out[d.glob_offset] += np.sum(self.glob_values[:, 0] ** 2)
+        if self.constraints is not None:
+            for r in self.constraints:
+                out[r.cols] += r.vals**2
+        return out
+
     # ------------------------------------------------------------------
-    # Conversions (test / cross-check paths; not used by the solver)
+    # Conversions
     # ------------------------------------------------------------------
     def to_scipy_csr(self) -> "scipy.sparse.csr_matrix":
-        """Expand to a SciPy CSR matrix, including constraint rows.
+        """Expand to a SciPy CSR matrix ``A``, constraint rows included.
 
-        Intended for correctness cross-checks on small systems; the
-        solver itself never materializes this.
+        This is the matrix :class:`~repro.core.aprod.AprodOperator`
+        multiplies with.  It is built in one pass, with no intermediate
+        copy: row ``i`` stores its 5 astrometric, 12 attitude, 6
+        instrumental and (optionally) 1 global coefficient in that
+        order, the constraint rows follow the observations, and the
+        index arrays are int32 whenever the matrix fits.
         """
         import scipy.sparse as sp
 
         d = self.dims
         m = d.n_obs
         per_row = d.nnz_per_row
-        cols = np.empty((m, per_row), dtype=np.int64)
-        vals = np.empty((m, per_row), dtype=np.float64)
-        cols[:, :5] = self.astro_columns()
+        rows = [] if self.constraints is None else self.constraints.rows
+        if rows:
+            self.constraints.check_bounds(d.n_params)
+        obs_nnz = m * per_row
+        nnz = obs_nnz + sum(r.cols.size for r in rows)
+        idx = np.int32 if max(nnz, d.n_params) < 2**31 else np.int64
+        data = np.empty(nnz)
+        indices = np.empty(nnz, dtype=idx)
+        vals = data[:obs_nnz].reshape(m, per_row)
+        cols = indices[:obs_nnz].reshape(m, per_row)
         vals[:, :5] = self.astro_values
-        cols[:, 5:17] = self.att_columns()
+        np.add(self.matrix_index_astro[:, None],
+               np.arange(ASTRO_PARAMS_PER_STAR), out=cols[:, :5],
+               casting="unsafe")
         vals[:, 5:17] = self.att_values
-        cols[:, 17:23] = self.instr_columns()
+        att_offsets = (np.arange(ATT_AXES)[:, None] * d.att_stride
+                       + np.arange(ATT_BLOCK_SIZE) + d.att_offset)
+        np.add(self.matrix_index_att[:, None, None], att_offsets,
+               out=cols[:, 5:17].reshape(m, ATT_AXES, ATT_BLOCK_SIZE),
+               casting="unsafe")
         vals[:, 17:23] = self.instr_values
+        np.add(self.instr_col, d.instr_offset, out=cols[:, 17:23],
+               casting="unsafe")
         if d.n_glob_params:
-            cols[:, 23] = d.glob_offset
             vals[:, 23] = self.glob_values[:, 0]
-        indptr = np.arange(0, (m + 1) * per_row, per_row, dtype=np.int64)
-        obs = sp.csr_matrix(
-            (vals.ravel(), cols.ravel(), indptr), shape=(m, d.n_params)
-        )
-        if self.constraints is None or len(self.constraints) == 0:
-            return obs
-        return sp.vstack([obs, self.constraints.to_scipy_csr(d.n_params)],
-                         format="csr")
+            cols[:, 23] = d.glob_offset
+        indptr = np.empty(m + 1 + len(rows), dtype=idx)
+        indptr[: m + 1] = np.arange(0, obs_nnz + 1, per_row)
+        lo = obs_nnz
+        for i, r in enumerate(rows):
+            hi = lo + r.cols.size
+            data[lo:hi] = r.vals
+            indices[lo:hi] = r.cols
+            indptr[m + 1 + i] = hi
+            lo = hi
+        return sp.csr_matrix((data, indices, indptr),
+                             shape=(self.n_rows, d.n_params))
 
     def to_dense(self) -> np.ndarray:
         """Expand to a dense ndarray (small systems only)."""

@@ -13,12 +13,10 @@ meaning and every old entry silently becomes a miss instead of a lie.
 :class:`GeometrySweeper` evaluates a spec: the deduplicated
 ``(threads_per_block, atomic_cap)`` grid from
 :func:`repro.frameworks.tuning.geometry_candidates` through
-:func:`repro.frameworks.tuning.iteration_time_with_geometry`, plus the
-host-side plan selection from
-:func:`repro.frameworks.tuning.tune_host_kernels`.  It counts model
-evaluations (``tuning.model_evals``) so tests -- and the acceptance
-criterion "second run is a pure cache hit" -- can prove a repeat
-costs zero.
+:func:`repro.frameworks.tuning.iteration_time_with_geometry`.  It
+counts model evaluations (``tuning.model_evals``) so tests -- and the
+acceptance criterion "second run is a pure cache hit" -- can prove a
+repeat costs zero.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from repro.frameworks.tuning import (
     CANDIDATE_GRID_CAPS,
     geometry_candidates,
     iteration_time_with_geometry,
-    tune_host_kernels,
 )
 from repro.gpu.platforms import device_by_name
 from repro.obs import Telemetry
@@ -125,9 +122,7 @@ class TunedConfig:
 
     ``tuned_iteration_s / default_iteration_s`` is the ratio the
     placement cost model applies to its nominal (out-of-the-box)
-    estimate; the host-plan strategies record what
-    :func:`~repro.frameworks.tuning.tune_host_kernels` selected for
-    the size-class representative shape.
+    estimate.
     """
 
     spec: SweepSpec
@@ -135,9 +130,6 @@ class TunedConfig:
     atomic_cap: int | None
     tuned_iteration_s: float
     default_iteration_s: float
-    host_gather: str
-    host_scatter: str
-    host_astro_scatter: str
     model_evals: int
 
     @property
@@ -167,9 +159,6 @@ class TunedConfig:
                 "atomic_cap": self.atomic_cap,
                 "tuned_iteration_s": self.tuned_iteration_s,
                 "default_iteration_s": self.default_iteration_s,
-                "host_gather": self.host_gather,
-                "host_scatter": self.host_scatter,
-                "host_astro_scatter": self.host_astro_scatter,
                 "model_evals": self.model_evals,
             },
             sort_keys=True,
@@ -194,9 +183,6 @@ class TunedConfig:
             atomic_cap=doc["atomic_cap"],
             tuned_iteration_s=doc["tuned_iteration_s"],
             default_iteration_s=doc["default_iteration_s"],
-            host_gather=doc["host_gather"],
-            host_scatter=doc["host_scatter"],
-            host_astro_scatter=doc["host_astro_scatter"],
             model_evals=doc["model_evals"],
         )
 
@@ -255,7 +241,6 @@ class GeometrySweeper:
                 evals += 1
             (best_tpb, best_cap), best_time = min(
                 sweep.items(), key=lambda kv: kv[1])
-            host = tune_host_kernels(dims)
 
         self.model_evals += evals
         tel.counter("tuning.model_evals").inc(evals)
@@ -265,8 +250,5 @@ class GeometrySweeper:
             atomic_cap=best_cap,
             tuned_iteration_s=best_time,
             default_iteration_s=sweep[(256, None)],
-            host_gather=host.selection.gather,
-            host_scatter=host.selection.scatter,
-            host_astro_scatter=host.selection.astro_scatter,
             model_evals=evals,
         )

@@ -53,3 +53,20 @@ def noglob_system(noglob_dims):
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def operator_builds(monkeypatch) -> list[int]:
+    """Counts every AprodOperator construction, telemetry or not:
+    ``len(operator_builds)`` after the code under test ran."""
+    from repro.core.aprod import AprodOperator
+
+    builds: list[int] = []
+    init = AprodOperator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AprodOperator, "__init__", counting_init)
+    return builds

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.api import (
-    STRATEGY_PRESETS,
     ResilienceConfig,
     SolveRequest,
     SolveReport,
@@ -39,22 +38,30 @@ def test_distributed_request_matches_serial(small_system):
     np.testing.assert_allclose(dist.x, serial.x, rtol=1e-8, atol=1e-10)
 
 
+#: Explicit per-submatrix kernel strategy sets: the classic four-kernel
+#: path, the RMW-atomic scatter order and the pure-Python oracle.
+EXPLICIT_STRATEGIES = {
+    "classic": {"gather_strategy": "vectorized",
+                "scatter_strategy": "bincount"},
+    "atomic": {"gather_strategy": "vectorized",
+               "scatter_strategy": "atomic",
+               "astro_scatter_strategy": "atomic"},
+}
+
+
 def test_strategy_presets_agree(small_system):
-    runs = {name: solve(SolveRequest(system=small_system, iter_lim=40,
-                                     strategy=name))
-            for name in STRATEGY_PRESETS}
-    base = runs["auto"]
-    for name, report in runs.items():
-        np.testing.assert_allclose(report.x, base.x,
-                                   rtol=1e-9, atol=1e-11,
+    """Every explicit kernel strategy set solves to the default (CSR)
+    solution up to summation-order rounding."""
+    base = solve(SolveRequest(system=small_system, iter_lim=40))
+    for name, kwargs in EXPLICIT_STRATEGIES.items():
+        res = lsqr_solve(small_system, iter_lim=40, **kwargs)
+        np.testing.assert_allclose(res.x, base.x, rtol=1e-9, atol=1e-11,
                                    err_msg=f"strategy {name}")
 
 
 def test_request_validation(small_system):
     with pytest.raises(ValueError, match="ranks"):
         SolveRequest(system=small_system, ranks=0)
-    with pytest.raises(ValueError, match="strategy"):
-        SolveRequest(system=small_system, strategy="warp")
     with pytest.raises(ValueError, match="seed"):
         SolveRequest(system=small_system, seed=-1)
     with pytest.raises(ValueError, match="damp"):

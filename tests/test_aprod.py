@@ -85,12 +85,24 @@ def test_column_sq_norms_match_csr(small_system):
 
 
 def test_kernel_hook_sees_all_kernels(small_system, rng):
+    """One CSR kernel per direction by default; the four per-submatrix
+    kernels per direction when strategies are named explicitly."""
     seen = []
     op = AprodOperator(small_system,
-                       kernel_hook=lambda name, rows, nnz: seen.append(name))
+                       kernel_hook=lambda *call: seen.append(call))
     op.aprod1(rng.normal(size=op.shape[1]))
     op.aprod2(rng.normal(size=op.shape[0]))
-    assert seen == [
+    nnz = small_system.to_scipy_csr().nnz
+    assert seen == [("aprod1_csr", op.shape[0], nnz),
+                    ("aprod2_csr", op.shape[0], nnz)]
+
+    seen.clear()
+    op = AprodOperator(small_system, gather_strategy="vectorized",
+                       scatter_strategy="bincount",
+                       kernel_hook=lambda *call: seen.append(call))
+    op.aprod1(rng.normal(size=op.shape[1]))
+    op.aprod2(rng.normal(size=op.shape[0]))
+    assert [name for name, _, _ in seen] == [
         "aprod1_astro", "aprod1_att", "aprod1_instr", "aprod1_glob",
         "aprod2_astro", "aprod2_att", "aprod2_instr", "aprod2_glob",
     ]

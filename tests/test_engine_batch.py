@@ -5,19 +5,15 @@ This file is the contract the batched solve path
 :func:`repro.core.lsqr.lsqr_solve_batch`, :func:`repro.api.solve_batch`)
 is pinned by:
 
-- on the **classic** kernel preset every member of a batched solve is
+- on the default CSR operator every member of a batched solve is
   *bitwise* identical to the serial solve of that member alone --
   trajectory (``itn``, ``istop``), solution, residual norms and
-  variance estimates;
-- on the **fused** plan preset the einsum contraction may associate
-  the per-row dot products differently from the serial kernels, so the
-  pin relaxes to rtol 1e-12 on the float outputs while ``itn`` and
-  ``istop`` stay exact;
+  variance estimates -- because the batched sparse-times-dense
+  products sum each member in its solo order;
+- the same holds on the explicit per-submatrix kernels (the classic
+  four-kernel path), which loop over the members;
 - early-converging members freeze (their own ``itn``/``istop``) while
-  the rest of the batch keeps iterating;
-- the auto strategy heuristic never selects a fused plan whose
-  workspaces exceed the budget once the batch multiplier is applied
-  (satellite: plan-budget property).
+  the rest of the batch keeps iterating.
 """
 
 from __future__ import annotations
@@ -30,16 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import SolveRequest, batch_incompatibility, solve, solve_batch
+from repro.core.aprod import AprodOperator
 from repro.core.engine import (
     ISTOP_RUNNING,
     BatchedLSQRStepEngine,
     StopReason,
-)
-from repro.core.kernels.plan import (
-    FUSED_MIN_OBS,
-    PLAN_BUDGET_BYTES,
-    plan_workspace_bytes,
-    select_strategies,
 )
 from repro.core.lsqr import lsqr_solve, lsqr_solve_batch
 from repro.obs.telemetry import Telemetry
@@ -93,28 +84,19 @@ def _serial_results(members, damps, *, gather, scatter, iter_lim=30,
 def _batched_results(system, members, damps, *, gather, scatter,
                      iter_lim=30, **kw):
     B = np.stack([m.rhs() for m in members])
-    return lsqr_solve_batch(system, B, damps=damps, iter_lim=iter_lim,
-                            gather_strategy=gather,
-                            scatter_strategy=scatter, **kw)
+    op = AprodOperator(system, gather_strategy=gather,
+                       scatter_strategy=scatter)
+    return lsqr_solve_batch(op, B, damps=damps, iter_lim=iter_lim, **kw)
 
 
-def _assert_member_equal(batched, serial, *, rtol=None):
+def _assert_member_equal(batched, serial):
     assert batched.itn == serial.itn
     assert batched.istop == serial.istop
-    if rtol is None:
-        np.testing.assert_array_equal(batched.x, serial.x)
-        assert batched.r2norm == serial.r2norm
-        assert batched.acond == serial.acond
-        if serial.var is not None:
-            np.testing.assert_array_equal(batched.var, serial.var)
-    else:
-        np.testing.assert_allclose(batched.x, serial.x, rtol=rtol,
-                                   atol=0)
-        np.testing.assert_allclose(batched.r2norm, serial.r2norm,
-                                   rtol=rtol, atol=0)
-        if serial.var is not None:
-            np.testing.assert_allclose(batched.var, serial.var,
-                                       rtol=rtol, atol=1e-300)
+    np.testing.assert_array_equal(batched.x, serial.x)
+    assert batched.r2norm == serial.r2norm
+    assert batched.acond == serial.acond
+    if serial.var is not None:
+        np.testing.assert_array_equal(batched.var, serial.var)
 
 
 # ----------------------------------------------------------------------
@@ -138,31 +120,28 @@ def test_batched_matches_serial_bitwise_on_classic_path(case):
 @settings(max_examples=15, deadline=None)
 @given(case=batch_case())
 def test_batched_matches_serial_on_fused_path(case):
-    """Fused plan: einsum reassociation forbids a bitwise pin, so the
-    contract is rtol 1e-12 with exact itn/istop."""
+    """The default CSR path (the former fused-plan path): every member
+    is bitwise its serial solve."""
     system, members, damps = case
-    serial = _serial_results(members, damps, gather="fused",
-                             scatter="sorted_segment")
-    batched = _batched_results(system, members, damps, gather="fused",
-                               scatter="sorted_segment")
+    serial = _serial_results(members, damps, gather="csr",
+                             scatter="csr")
+    batched = _batched_results(system, members, damps, gather="csr",
+                               scatter="csr")
     for b, s in zip(batched, serial):
-        _assert_member_equal(b, s, rtol=1e-12)
+        _assert_member_equal(b, s)
 
 
 @pytest.mark.parametrize("gather,scatter",
-                         [("vectorized", "bincount"),
-                          ("fused", "sorted_segment")])
+                         [("vectorized", "bincount"), ("csr", "csr")])
 def test_batch_of_one_matches_serial(small_system, gather, scatter):
-    """K=1 is the degenerate batch: same answer as the plain driver
-    (bitwise on classic; rtol pin on the fused plan)."""
+    """K=1 is the degenerate batch: bitwise the plain driver."""
     serial = lsqr_solve(small_system, iter_lim=40,
                         gather_strategy=gather,
                         scatter_strategy=scatter)
-    (batched,) = lsqr_solve_batch(
-        small_system, small_system.rhs()[None, :], iter_lim=40,
-        gather_strategy=gather, scatter_strategy=scatter)
-    rtol = None if gather == "vectorized" else 1e-12
-    _assert_member_equal(batched, serial, rtol=rtol)
+    (batched,) = _batched_results(small_system, [small_system], [0.0],
+                                  gather=gather, scatter=scatter,
+                                  iter_lim=40)
+    _assert_member_equal(batched, serial)
 
 
 def test_warm_start_members_match_serial(small_system):
@@ -177,10 +156,9 @@ def test_warm_start_members_match_serial(small_system):
                          gather_strategy="vectorized",
                          scatter_strategy="bincount")
               for m, d, x0 in zip(members, damps, x0s)]
-    batched = lsqr_solve_batch(
-        small_system, np.stack([m.rhs() for m in members]),
-        damps=damps, x0s=x0s, iter_lim=25,
-        gather_strategy="vectorized", scatter_strategy="bincount")
+    batched = _batched_results(small_system, members, damps, x0s=x0s,
+                               iter_lim=25, gather="vectorized",
+                               scatter="bincount")
     for b, s in zip(batched, serial):
         _assert_member_equal(b, s)
 
@@ -228,10 +206,7 @@ def test_batched_engine_telemetry_counts_member_iterations(
 # ----------------------------------------------------------------------
 
 def test_batched_state_active_done_and_abort(small_system):
-    from repro.core.aprod import AprodOperator
-
-    op = AprodOperator(small_system, gather_strategy="vectorized",
-                       scatter_strategy="bincount", batch_hint=3)
+    op = AprodOperator(small_system)
     engine = BatchedLSQRStepEngine(op, batch=3)
     B = np.stack([small_system.rhs()] * 3)
     state = engine.start(B)
@@ -260,10 +235,7 @@ def test_batched_state_active_done_and_abort(small_system):
 
 
 def test_batched_engine_rejects_bad_shapes(small_system):
-    from repro.core.aprod import AprodOperator
-
-    op = AprodOperator(small_system, gather_strategy="vectorized",
-                       scatter_strategy="bincount")
+    op = AprodOperator(small_system)
     engine = BatchedLSQRStepEngine(op, batch=2)
     with pytest.raises(ValueError):
         engine.start(small_system.rhs())  # 1-D, not (K, m)
@@ -286,8 +258,7 @@ def test_solve_batch_matches_solve_reports(small_system):
             known_terms=small_system.known_terms + rng.normal(
                 scale=1e-8, size=small_system.known_terms.shape))
         requests.append(SolveRequest(
-            system=system, damp=damp, iter_lim=40, strategy="classic",
-            seed=j, job_id=f"member-{j}"))
+            system=system, damp=damp, iter_lim=40, seed=j, job_id=f"member-{j}"))
     reports = solve_batch(requests)
     assert [r.job_id for r in reports] == \
         ["member-0", "member-1", "member-2"]
@@ -309,7 +280,7 @@ def test_batch_incompatibility_names_the_offending_field(
 
     for field, value in [("atol", 1e-6), ("conlim", 1e6),
                          ("iter_lim", 21), ("precondition", False),
-                         ("calc_var", False), ("strategy", "fused")]:
+                         ("calc_var", False)]:
         bad = dataclasses.replace(base, **{field: value})
         reason = batch_incompatibility([base, bad])
         assert reason is not None and field in reason
@@ -336,61 +307,7 @@ def test_lsqr_solve_batch_validates_b(small_system):
 
 
 # ----------------------------------------------------------------------
-# Satellite: the auto heuristic respects the budget under batching
-# ----------------------------------------------------------------------
-
-@settings(max_examples=100, deadline=None)
-@given(
-    n_stars=st.integers(1, 10**6),
-    n_obs=st.integers(1, 10**7),
-    n_att=st.integers(4, 5000),
-    n_instr=st.integers(6, 5000),
-    n_glob=st.integers(0, 1),
-    batch=st.integers(1, 64),
-)
-def test_auto_never_selects_fused_plan_over_budget(
-        n_stars, n_obs, n_att, n_instr, n_glob, batch):
-    """select_strategies with a batch width must never choose the
-    fused plan when the batched workspaces exceed the budget."""
-    dims = SystemDims(n_stars=n_stars, n_obs=n_obs,
-                      n_deg_freedom_att=n_att, n_instr_params=n_instr,
-                      n_glob_params=n_glob)
-    sel = select_strategies(dims, batch=batch)
-    if sel.fused:
-        assert plan_workspace_bytes(dims, batch) <= PLAN_BUDGET_BYTES
-        assert n_obs >= FUSED_MIN_OBS
-
-
-def test_batch_multiplier_pushes_selection_off_the_fused_plan():
-    """A shape that compiles a fused plan solo falls back to the
-    cache-blocked kernels once the batch multiplier blows the
-    budget -- the satellite scenario this heuristic exists for."""
-    dims = SystemDims(n_stars=1000, n_obs=2_000_000,
-                      n_deg_freedom_att=100, n_instr_params=100,
-                      n_glob_params=1)
-    solo = select_strategies(dims)
-    assert solo.fused
-    wide = select_strategies(dims, batch=64)
-    assert not wide.fused
-    assert wide.gather == "chunked"
-    assert "batch=64" in wide.reason
-    assert plan_workspace_bytes(dims, 64) > PLAN_BUDGET_BYTES
-
-
-def test_plan_workspace_bytes_monotone_in_batch():
-    dims = SystemDims(n_stars=50, n_obs=5000, n_deg_freedom_att=10,
-                      n_instr_params=10, n_glob_params=1)
-    sizes = [plan_workspace_bytes(dims, k) for k in (1, 2, 4, 8)]
-    assert sizes == sorted(sizes)
-    assert sizes[0] < sizes[1]
-    with pytest.raises(ValueError):
-        plan_workspace_bytes(dims, 0)
-    with pytest.raises(ValueError):
-        select_strategies(dims, batch=0)
-
-
-# ----------------------------------------------------------------------
-# The SpMM batched kernel: shared-matrix-read pass at production sizes
+# The batched CSR product at a production-like shape
 # ----------------------------------------------------------------------
 
 def _spmm_scale_system():
@@ -399,50 +316,9 @@ def _spmm_scale_system():
     return make_system(dims, seed=7, noise_sigma=1e-9)
 
 
-def test_auto_batch_kernel_routes_spmm_only_on_the_fused_path():
-    from repro.core.aprod import SPMM_MIN_BATCH, AprodOperator
-
-    system = _spmm_scale_system()
-    calls = []
-    op = AprodOperator(system, batch_hint=SPMM_MIN_BATCH,
-                       kernel_hook=lambda name, *_: calls.append(name))
-    assert op.gather_strategy == "fused"  # auto at this size
-    X = np.zeros((SPMM_MIN_BATCH, system.dims.n_params))
-    op.aprod1_batch(X)
-    assert calls == ["aprod1_spmm"]
-
-    # forcing einsum keeps the plan kernels
-    calls.clear()
-    op = AprodOperator(system, batch_hint=SPMM_MIN_BATCH,
-                       batch_kernel="einsum",
-                       kernel_hook=lambda name, *_: calls.append(name))
-    op.aprod1_batch(X)
-    assert calls == ["aprod1_fused"]
-
-    # narrow batches stay on einsum under auto
-    calls.clear()
-    op = AprodOperator(system, batch_hint=SPMM_MIN_BATCH - 1,
-                       kernel_hook=lambda name, *_: calls.append(name))
-    op.aprod1_batch(X[: SPMM_MIN_BATCH - 1])
-    assert calls == ["aprod1_fused"]
-
-    # the bitwise classic presets never take the SpMM pass
-    calls.clear()
-    op = AprodOperator(system, gather_strategy="vectorized",
-                       scatter_strategy="bincount",
-                       batch_hint=SPMM_MIN_BATCH,
-                       kernel_hook=lambda name, *_: calls.append(name))
-    op.aprod1_batch(X[:1])
-    assert "aprod1_spmm" not in calls and "aprod1_astro" in calls
-
-    with pytest.raises(ValueError, match="batch_kernel"):
-        AprodOperator(system, batch_kernel="blas")
-
-
 def test_spmm_batch_matches_serial_fused_solves():
-    """The SpMM pass reassociates per-row sums relative to the plan
-    einsum, so the pin is rtol (observed agreement is ulp-level);
-    stopping behaviour must survive the reassociation."""
+    """One sparse-times-dense pass for K=8 members at 4500 rows: every
+    member is bitwise its serial solve on the default path."""
     system = _spmm_scale_system()
     rng = np.random.default_rng(5)
     members = [system] + [
@@ -453,18 +329,11 @@ def test_spmm_batch_matches_serial_fused_solves():
         for _ in range(7)
     ]
     serial = [lsqr_solve(m, iter_lim=40) for m in members]
+    calls = []
+    op = AprodOperator(system,
+                       kernel_hook=lambda name, *_: calls.append(name))
     batched = lsqr_solve_batch(
-        system, np.stack([m.rhs() for m in members]), iter_lim=40)
+        op, np.stack([m.rhs() for m in members]), iter_lim=40)
+    assert set(calls) == {"aprod1_csr", "aprod2_csr"}
     for b, s in zip(batched, serial):
-        assert b.istop == s.istop
-        assert abs(b.itn - s.itn) <= 1
-        np.testing.assert_allclose(b.x, s.x, rtol=1e-9, atol=1e-300)
-        np.testing.assert_allclose(b.r2norm, s.r2norm, rtol=1e-9)
-
-    # batch_kernel="einsum" must force the plan path even at K=8
-    forced = lsqr_solve_batch(
-        system, np.stack([m.rhs() for m in members]), iter_lim=40,
-        batch_kernel="einsum")
-    for f, s in zip(forced, serial):
-        assert f.itn == s.itn
-        np.testing.assert_allclose(f.x, s.x, rtol=1e-12, atol=0)
+        _assert_member_equal(b, s)

@@ -76,12 +76,13 @@ def test_solve_metrics_match_result(small_system):
     hist = tel.histogram("lsqr.iteration_time_s")
     assert hist.count == res.itn
     assert hist.sum == pytest.approx(sum(res.iteration_times))
-    # aprod1 kernels run once per iteration; aprod2 also runs in the
+    # aprod1 runs once per iteration; aprod2 also runs in the
     # initialization (v = A^T u), hence the +1.
     calls = tel.metrics.counter_value
-    assert calls("aprod.kernel_calls", kernel="aprod1_astro") == res.itn
+    assert calls("aprod.kernel_calls", kernel="aprod1_csr") == res.itn
     assert calls("aprod.kernel_calls",
-                 kernel="aprod2_astro") == res.itn + 1
+                 kernel="aprod2_csr") == res.itn + 1
+    assert calls("aprod.operator_builds") == 1
 
 
 def test_uninstrumented_solve_unchanged(small_system):

@@ -55,7 +55,6 @@ def _variant(v: int, system=BASE):
 def _job(job_id: str, *, variant=0, nominal_gb=10.0, system=None,
          **request_kwargs) -> ServeJob:
     request_kwargs.setdefault("iter_lim", 40)
-    request_kwargs.setdefault("strategy", "classic")
     request = SolveRequest(
         system=system if system is not None else _variant(variant),
         job_id=job_id, **request_kwargs)
@@ -100,7 +99,7 @@ def test_fusion_key_separates_engine_configs():
     base = _job("a")
     for kwargs in ({"iter_lim": 41}, {"atol": 1e-6},
                    {"conlim": 1e6}, {"precondition": False},
-                   {"calc_var": False}, {"strategy": "fused"}):
+                   {"calc_var": False}):
         other = _job("b", **kwargs)
         assert base.fusion_key() != other.fusion_key(), kwargs
 

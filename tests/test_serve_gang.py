@@ -38,6 +38,7 @@ from repro.api import (
     solve,
 )
 from repro.core.engine import StopReason
+from repro.obs.telemetry import Telemetry
 from repro.gpu.interconnect import (
     allreduce_seconds,
     device_fabric,
@@ -319,6 +320,23 @@ def test_gang_solve_bitwise_matches_distributed_reference(
                                rtol=1e-5, atol=1e-10)
     for lane in pool.lanes:
         assert lane.free_gb == lane.spec.memory_gb
+
+
+@pytest.mark.parametrize("resilience", [None, ResilienceConfig()])
+def test_gang_solve_builds_one_operator_per_rank(system, resilience,
+                                                 operator_builds):
+    """An R-rank gang builds exactly R operators -- one per rank block.
+    The preconditioner comes from the compressed arrays, so no
+    full-system operator is built just for the column norms."""
+    tel = Telemetry()
+    request = dataclasses.replace(_gang_request(system, max_shards=2),
+                                  telemetry=tel, resilience=resilience)
+    sched = Scheduler(DevicePool(("T4", "T4")), workers=1)
+    report = sched.run([ServeJob(request=request, nominal_gb=16.0,
+                                 job_id="gang")])
+    assert report.outcomes[0].report.ranks == 2
+    assert tel.metrics.counter_value("aprod.operator_builds") == 2
+    assert len(operator_builds) == 2
 
 
 def test_gang_requires_opt_in(system):

@@ -258,3 +258,23 @@ class TestConfigSurface:
         # Step 1 systems chain back to step 0 digests.
         s1 = next(j for j in chain_jobs if j.job_id == "chain0-s1")
         assert s1.request.system.meta["parent_digest"]
+
+
+def test_one_rank_slice_builds_one_operator(tmp_path, operator_builds):
+    """A preemptible solve's slice (recovery driver, one rank) builds
+    exactly one operator, and so does the slice that resumes it."""
+    from repro.api import ResilienceConfig
+    from repro.obs.telemetry import Telemetry
+
+    system = make_system(dims_from_gb(0.001), seed=4, noise_sigma=1e-9)
+    ckpt = tmp_path / "slice.npz"
+    for resume in (None, ckpt):
+        operator_builds.clear()
+        tel = Telemetry()
+        report = solve(SolveRequest(
+            system=system, iter_lim=6 if resume is None else 12,
+            resilience=ResilienceConfig(checkpoint_every=6),
+            checkpoint_path=ckpt, resume_from=resume, telemetry=tel))
+        assert report.itn == (6 if resume is None else 12)
+        assert tel.metrics.counter_value("aprod.operator_builds") == 1
+        assert len(operator_builds) == 1
